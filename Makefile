@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench
+.PHONY: check build vet test flaky race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench
 
-check: build vet test race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
+check: build vet test flaky race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -17,12 +17,19 @@ vet:
 test:
 	$(GO) test ./...
 
+# Flake gate: the timestep-loop tests run 20 times in shuffled order on
+# one and on two Ps. Their assertions are on counted quantities (pairs,
+# messages, bytes, mallocs), so every repetition must pass; a test that
+# leans on wall-clock time or runtime malloc noise fails here first.
+flaky:
+	GOMAXPROCS=1 $(GO) test -count=20 -shuffle=on ./internal/core/...
+	GOMAXPROCS=2 $(GO) test -count=20 -shuffle=on ./internal/core/...
+
 # Goroutines share state in the comm substrate, the observability
 # layer, and — since the zero-copy typed transport — the core timestep
 # loops, whose buffers cross rank goroutines by reference under an
 # ownership-transfer contract. The phys worker pool adds a second tier
-# of goroutines (intra-rank force tiles), and the SoA tile scratch in
-# internal/vec feeds those workers. Run all five under the race
+# of goroutines (intra-rank force tiles). Run them under the race
 # detector: for core and phys it is the mechanical check of those
 # contracts.
 race:
@@ -87,7 +94,7 @@ benchdiff:
 	$(GO) run ./cmd/obsdiff -threshold 8 BENCH_PR9.json /tmp/canbody_benchdiff.json
 
 # Full benchmark report: kernel microbenchmarks (generic vs specialized,
-# the tile-width × kernel grid, pooled worker widths), speedups,
+# pooled worker widths), speedups,
 # end-to-end per-step wall times, the typed-vs-encoded transport
 # comparison, the rank×worker scaling grid, the placement-searcher
 # timings, and the flight-recorder overhead, written to BENCH_PR9.json.

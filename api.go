@@ -187,19 +187,6 @@ type Config struct {
 	// raising Workers only while P × Workers ≤ GOMAXPROCS; negative
 	// values are rejected.
 	Workers int
-	// Tile is the source-tile width of the force kernels: the inner
-	// loops stage this many sources at a time into a structure-of-
-	// arrays scratch and sweep the block across the targets with
-	// branch-free cutoff and minimum-image handling. Accumulation
-	// order is pinned to source order, so — like Workers — every width
-	// produces bitwise-identical trajectories and identical measured
-	// communication; the knob trades only speed. 0 (the default) picks
-	// the tuned policy: the kernel flavors that may skip beyond-cutoff
-	// pairs run tiled at the full scratch width (64), the rest keep
-	// their classic loops. Positive widths force the tiled loops at
-	// that width (clamped to the scratch cap, 64); negative values are
-	// rejected.
-	Tile int
 	// EncodedTransport selects the serialize-and-ship message path for
 	// the CA timestep loops instead of the default zero-copy typed
 	// transport. Results and measured communication quantities are
@@ -280,7 +267,6 @@ func (c Config) params(steps int) core.Params {
 		Overlap: c.Overlap,
 		Encoded: c.EncodedTransport,
 		Workers: c.Workers,
-		Tile:    c.Tile,
 		Proc:    c.Proc,
 	}
 }
@@ -327,9 +313,6 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("nbody: negative worker count %d", cfg.Workers)
-	}
-	if cfg.Tile < 0 {
-		return nil, fmt.Errorf("nbody: negative tile width %d", cfg.Tile)
 	}
 	if alg := cfg.resolveAlgorithm(); (alg == CACutoff || alg == Midpoint) && cfg.Cutoff == 0 {
 		return nil, fmt.Errorf("nbody: %v requires a positive cutoff", alg)

@@ -128,65 +128,3 @@ func AutotuneWorkers(cfg Config, trialSteps int, candidates []int) (int, []Worke
 	sort.Slice(results, func(i, j int) bool { return results[i].Workers < results[j].Workers })
 	return bestW, results, nil
 }
-
-// TileTuneResult records one kernel tile width's trial.
-type TileTuneResult struct {
-	Tile    int
-	PerStep time.Duration
-	Err     error // non-nil when the width is infeasible
-}
-
-// AutotuneTile empirically selects the force-kernel source-tile width
-// (Config.Tile) the same way AutotuneWorkers selects the pool width:
-// it runs trialSteps timesteps of cfg at every candidate width and
-// returns the fastest, together with all trial results sorted by
-// width. Tiling is bitwise-invariant — every width reproduces the
-// same trajectory and the same measured communication — so the choice
-// is purely a speed question and tuning on a short prefix of a long
-// run is safe.
-//
-// Candidates may be nil, in which case the auto policy (0 — tiled
-// compaction loops where pair skipping is legal, classic loops
-// elsewhere) and the powers of two from 1 up to the tile cap are
-// tried. The returned width can be assigned directly to Config.Tile.
-func AutotuneTile(cfg Config, trialSteps int, candidates []int) (int, []TileTuneResult, error) {
-	cfg = cfg.withDefaults()
-	if trialSteps <= 0 {
-		trialSteps = 3
-	}
-	if candidates == nil {
-		candidates = []int{0, 1, 2, 4, 8, 16, 32, 64}
-	}
-	if len(candidates) == 0 {
-		return 0, nil, fmt.Errorf("nbody: no autotune candidates")
-	}
-	results := make([]TileTuneResult, 0, len(candidates))
-	bestTile, bestT, found := 0, time.Duration(0), false
-	for _, tw := range candidates {
-		trial := cfg
-		trial.Tile = tw
-		res := TileTuneResult{Tile: tw}
-		sim, err := New(trial)
-		if err != nil {
-			res.Err = err
-			results = append(results, res)
-			continue
-		}
-		start := time.Now()
-		if err := sim.Run(trialSteps); err != nil {
-			res.Err = err
-			results = append(results, res)
-			continue
-		}
-		res.PerStep = time.Since(start) / time.Duration(trialSteps)
-		results = append(results, res)
-		if !found || res.PerStep < bestT {
-			bestTile, bestT, found = tw, res.PerStep, true
-		}
-	}
-	if !found {
-		return 0, results, fmt.Errorf("nbody: no feasible tile width among %v", candidates)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Tile < results[j].Tile })
-	return bestTile, results, nil
-}

@@ -96,16 +96,6 @@ type transportResult struct {
 	Speedup          float64 `json:"speedup"`
 }
 
-// tileKernelResult is one line of the tile-width × kernel microbench
-// grid: the same batch at one source-tile width, against the untiled
-// classic loop (tile = -1) on the same batch as baseline.
-type tileKernelResult struct {
-	Name    string  `json:"name"`
-	Tile    int     `json:"tile"` // -1 = classic untiled loop
-	NsPerOp float64 `json:"ns_per_op"`
-	Speedup float64 `json:"speedup"` // vs the untiled loop on the same batch
-}
-
 // workerKernelResult is one pooled force-phase microbench line: the
 // same Accumulate batch tiled across a pool of the given width.
 type workerKernelResult struct {
@@ -161,7 +151,6 @@ type report struct {
 	GoVersion     string                  `json:"go_version"`
 	GOMAXPROCS    int                     `json:"gomaxprocs"`
 	Kernels       []result                `json:"kernels,omitempty"`
-	TileKernels   []tileKernelResult      `json:"tile_kernels,omitempty"`
 	Speedups      map[string]float64      `json:"speedups,omitempty"`
 	Timesteps     []stepResult            `json:"timesteps,omitempty"`
 	Transport     []transportResult       `json:"transport,omitempty"`
@@ -276,7 +265,6 @@ func main() {
 			log.Fatalf("FAIL: typed transport speedup %.2fx below threshold %.2fx", tr.Speedup, transportSmokeThreshold)
 		}
 		checkWorkerInvariance()
-		checkTileInvariance()
 		fmt.Println("ok")
 		return
 	}
@@ -343,13 +331,6 @@ func main() {
 		rep.Speedups["transport_"+tr.Algorithm] = tr.Speedup
 	}
 
-	rep.TileKernels = benchTileKernels(targets, sources, box)
-	for _, tr := range rep.TileKernels {
-		if tr.Tile >= 0 {
-			rep.Speedups[fmt.Sprintf("tile_%s_t%d", tr.Name, tr.Tile)] = tr.Speedup
-		}
-	}
-
 	rep.WorkerKernels = benchWorkerKernels()
 	for _, wr := range rep.WorkerKernels {
 		if wr.Workers > 1 {
@@ -363,7 +344,6 @@ func main() {
 		}
 	}
 	checkWorkerInvariance()
-	checkTileInvariance()
 	rep.Placement = benchPlacement()
 	fillPlacement(rep.Placement, rep.Metrics)
 	rep.Recorder = recorderOverhead()
@@ -676,125 +656,6 @@ func transportCutoff(reps int) transportResult {
 	fmt.Printf("%-28s typed %10.1f ns/step  encoded %10.1f ns/step  %.2fx\n",
 		"transport cutoff p=8 c=2", typed, encoded, tr.Speedup)
 	return tr
-}
-
-// benchTileKernels times the tile-width × kernel grid: every potential
-// kernel at every explicit tile width on the same batch, against the
-// classic untiled loop (tile = -1) as baseline. All cells compute
-// bit-identical forces — tiling pins accumulation to source order — so
-// the grid is a pure speed surface. It is also why Config.Tile = 0
-// routes only the compaction flavors (the *_in rows, and the cell-list
-// sweeps) to the tiled loops: the grid shows the mandatory-add rows
-// (rep_open, rep_cut, lj_cut) at or below 1.0x at every width, while
-// the compaction rows peak at the full tile cap.
-func benchTileKernels(targets, sources []phys.Particle, box phys.Box) []tileKernelResult {
-	tiles := []int{-1, 1, 8, 16, 32, 64}
-	kernels := []struct {
-		name string
-		law  phys.Law
-		in   bool // AccumulateIn (box metric) instead of Accumulate
-	}{
-		{"rep_open", phys.Law{Kind: phys.Repulsive, K: 1.3, Softening: 1e-3}, false},
-		{"rep_cut", phys.Law{Kind: phys.Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9}, false},
-		{"lj_cut", phys.LJLaw(0.7, 0.4).WithCutoff(0.9), false},
-		{"rep_cut_in", phys.Law{Kind: phys.Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9}, true},
-		{"lj_cut_in", phys.LJLaw(0.7, 0.4).WithCutoff(0.9), true},
-	}
-	var out []tileKernelResult
-	for _, kc := range kernels {
-		var base float64
-		for _, tile := range tiles {
-			kern := kc.law.Kernel().WithTile(tile)
-			var r testing.BenchmarkResult
-			if kc.in {
-				r = testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						kern.AccumulateIn(targets, sources, box)
-					}
-				})
-			} else {
-				r = testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						kern.Accumulate(targets, sources)
-					}
-				})
-			}
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if tile < 0 {
-				base = ns
-			}
-			res := tileKernelResult{Name: kc.name, Tile: tile, NsPerOp: ns, Speedup: base / ns}
-			label := fmt.Sprintf("%s tile=%d", kc.name, tile)
-			if tile < 0 {
-				label = fmt.Sprintf("%s untiled", kc.name)
-			}
-			fmt.Printf("%-28s %12d iters %14.1f ns/op %8.2fx\n", label, r.N, ns, res.Speedup)
-			out = append(out, res)
-		}
-	}
-	return out
-}
-
-// tileWidths are the source-tile widths the invariance check sweeps
-// against the default (0, the tuned width): a degenerate tile, an odd
-// width that exercises every unroll tail, and the cap.
-var tileWidths = []int{1, 7, 64}
-
-// checkTileInvariance runs each algorithm across kernel tile widths and
-// fails the process unless every width reproduces the default-width
-// final state bitwise with identical per-phase message/byte counts —
-// the tiling determinism contract (the tile-size analogue of
-// checkWorkerInvariance, which gates the same property for pool
-// widths).
-func checkTileInvariance() {
-	type cfg struct {
-		name string
-		run  func(tile int) ([]phys.Particle, *trace.Report)
-	}
-	apBox := phys.NewBox(10, 2, phys.Reflective)
-	cutBox := phys.NewBox(16, 1, phys.Periodic)
-	midBox := phys.NewBox(16, 2, phys.Reflective)
-	configs := []cfg{
-		{"allpairs p=4 c=2", func(tw int) ([]phys.Particle, *trace.Report) {
-			pr := core.Params{P: 4, C: 2, Law: phys.DefaultLaw(), Box: apBox, DT: 1e-3, Steps: 4, Workers: 2, Tile: tw}
-			ps, rep, err := core.AllPairs(phys.InitUniform(64, apBox, 41), pr)
-			if err != nil {
-				log.Fatalf("tile invariance allpairs tile=%d: %v", tw, err)
-			}
-			return ps, rep
-		}},
-		{"cutoff p=8 c=2", func(tw int) ([]phys.Particle, *trace.Report) {
-			pr := core.Params{P: 8, C: 2, Law: phys.DefaultLaw().WithCutoff(cutBox.L / 4), Box: cutBox, DT: 5e-4, Steps: 4, Workers: 2, Tile: tw}
-			ps, rep, err := core.Cutoff(phys.InitLattice(128, cutBox, 41), pr)
-			if err != nil {
-				log.Fatalf("tile invariance cutoff tile=%d: %v", tw, err)
-			}
-			return ps, rep
-		}},
-		{"midpoint p=9", func(tw int) ([]phys.Particle, *trace.Report) {
-			pr := core.Params{P: 9, C: 1, Law: phys.DefaultLaw().WithCutoff(4), Box: midBox, DT: 5e-4, Steps: 4, Workers: 2, Tile: tw}
-			ps, rep, err := core.Midpoint2D(phys.InitLattice(128, midBox, 41), pr)
-			if err != nil {
-				log.Fatalf("tile invariance midpoint tile=%d: %v", tw, err)
-			}
-			return ps, rep
-		}},
-	}
-	for _, c := range configs {
-		want, wantRep := c.run(0)
-		for _, tw := range tileWidths {
-			got, gotRep := c.run(tw)
-			for i := range want {
-				if got[i] != want[i] {
-					log.Fatalf("FAIL: %s tile=%d diverges from the default width at particle %d", c.name, tw, i)
-				}
-			}
-			if !sameComm(wantRep, gotRep) {
-				log.Fatalf("FAIL: %s tile=%d changed per-phase message/byte counts", c.name, tw)
-			}
-		}
-	}
-	fmt.Println("tile invariance: final states bitwise-identical, S/W unchanged (allpairs, cutoff, midpoint)")
 }
 
 // poolWidths are the worker-pool widths every pool comparison sweeps.

@@ -8,14 +8,15 @@ package comm
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
 // TestScratchReductionsSteadyStateAllocFree pins the zero-allocation
 // claim for the scratch reduction paths end to end: once the per-rank
 // scratch has grown, additional reduction rounds must not allocate —
-// measured as the global malloc delta between two otherwise identical
-// runs that differ only in round count.
+// measured as the malloc count of two otherwise identical runs that
+// differ only in round count.
 func TestScratchReductionsSteadyStateAllocFree(t *testing.T) {
 	const p, length = 4, 64
 	run := func(rounds int) {
@@ -35,17 +36,15 @@ func TestScratchReductionsSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mallocs := func(rounds int) uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		run(rounds)
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
-	}
-	run(3) // warm any lazy runtime state
-	base := mallocs(3)
-	long := mallocs(23)
+	// Measured with the collector parked, as in internal/core's
+	// quiescedAllocs: AllocsPerRun pins a single P and no GC cycle may
+	// flush the runtime's free lists mid-measurement, so only the
+	// program's own mallocs are counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	base := testing.AllocsPerRun(5, func() { run(3) })
+	long := testing.AllocsPerRun(5, func() { run(23) })
 	if long > base {
-		t.Errorf("20 extra reduction rounds allocated %d times, want 0 (base run %d, long run %d)", long-base, base, long)
+		t.Errorf("20 extra reduction rounds allocated %.0f times, want 0 (base run %.0f, long run %.0f)", long-base, base, long)
 	}
 }

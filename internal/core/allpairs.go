@@ -85,7 +85,7 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 		// blocks — bitwise-identical for any worker count — and in
 		// overlap mode its workers compute on the held buffer while the
 		// next exchange is in flight, reading only the read-only view.
-		kern := pr.Law.Kernel().WithTile(pr.Tile)
+		kern := pr.Law.Kernel()
 		pool := phys.NewPool(pr.WorkersPerRank())
 		defer pool.Close()
 		po := newPoolObs(pool, st, mx)
@@ -97,7 +97,9 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 				return err
 			}
 			st.SetPhase(trace.Compute)
-			pairEvals.Add(pool.Accumulate(kern, team, visiting))
+			pairs := pool.Accumulate(kern, team, visiting)
+			pairEvals.Add(pairs)
+			st.CountPairs(pairs)
 			po.stampBatch()
 			return nil
 		}

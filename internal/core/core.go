@@ -53,15 +53,6 @@ type Params struct {
 	// to 1 when P alone already oversubscribes the machine. Negative
 	// values are rejected by validation.
 	Workers int
-	// Tile is the source-tile width for the force kernels: the inner
-	// loops stage this many sources into a structure-of-arrays scratch
-	// and sweep the block across the targets (phys.Kernel.WithTile).
-	// Accumulation order is pinned to source order, so every width
-	// produces bitwise-identical states. 0 picks the tuned default
-	// policy (tiled compaction loops where skipping is legal, classic
-	// loops elsewhere); positive widths force the tiled loops, clamped
-	// at the cap. Negative values are rejected by validation.
-	Tile int
 	// Record, when non-nil on an observed run, receives one flight-
 	// recorder sample per timestep (per-phase walls and traffic, bounds
 	// vs measured, runtime health) stamped by world rank 0. Ignored
@@ -109,9 +100,6 @@ func (pr Params) validateCommon(n int) error {
 	}
 	if pr.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d", pr.Workers)
-	}
-	if pr.Tile < 0 {
-		return fmt.Errorf("core: negative tile width %d", pr.Tile)
 	}
 	if pr.Proc != nil && pr.Proc.WorldSize() != pr.P {
 		return fmt.Errorf("core: p=%d but the process mesh spans %d ranks (%d procs × %d)",

@@ -118,7 +118,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 		// accumulation by disjoint target blocks (bitwise-identical for
 		// any worker count); under Overlap its workers read the held
 		// buffer while the next shift is in flight.
-		kern := pr.Law.Kernel().WithTile(pr.Tile)
+		kern := pr.Law.Kernel()
 		pool := phys.NewPool(pr.WorkersPerRank())
 		defer pool.Close()
 		po := newPoolObs(pool, st, mx)
@@ -133,7 +133,9 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 				return nil // aliased buffer from beyond a reflective edge
 			}
 			st.SetPhase(trace.Compute)
-			pairEvals.Add(pool.AccumulateIn(kern, teamCopy, visiting, pr.Box))
+			pairs := pool.AccumulateIn(kern, teamCopy, visiting, pr.Box)
+			pairEvals.Add(pairs)
+			st.CountPairs(pairs)
 			po.stampBatch()
 			return nil
 		}

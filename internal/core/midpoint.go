@@ -10,7 +10,6 @@ import (
 	"repro/internal/phys"
 	"repro/internal/topo"
 	"repro/internal/trace"
-	"repro/internal/vec"
 )
 
 // Midpoint1D runs the midpoint method on a one-dimensional spatial
@@ -160,28 +159,17 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			rc2 := pr.Law.Cutoff * pr.Law.Cutoff
 			open := pr.Law
 			open.Cutoff = 0
-			kern := open.Kernel()
-			tw := phys.TileWidth(pr.Tile)
 			// Prefix sums give every particle a global target index the
 			// pool can partition.
 			cellStart := make([]int, len(cells)+1)
 			for ci := range cells {
 				cellStart[ci+1] = cellStart[ci] + len(cells[ci].particles)
 			}
-			pool.Run(cellStart[len(cells)], func(lo, hi, _ int) int64 {
+			counted := pool.Run(cellStart[len(cells)], func(lo, hi, _ int) int64 {
 				// Locate the cell holding global target lo, then walk.
 				ci := sort.SearchInts(cellStart, lo+1) - 1
 				li := lo - cellStart[ci]
 				var pairs int64
-				// The eligibility gates (identity, midpoint ownership,
-				// cutoff) stay per-pair branches — they decide which
-				// sources interact at all — but eligible sources are
-				// staged into an SoA tile and folded through the
-				// specialized open-law sweep. Flushing at tile
-				// boundaries only groups consecutive adds of the same
-				// in-order fold, so every tile width reproduces the
-				// per-pair loop bitwise.
-				var soa vec.SoA
 				for g := lo; g < hi; g++ {
 					for li >= len(cells[ci].particles) {
 						ci++
@@ -189,7 +177,6 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 					}
 					t := &cells[ci].particles[li]
 					f := t.Force
-					staged := 0
 					for b := range cells {
 						pb := cells[b].particles
 						for j := range pb {
@@ -204,28 +191,16 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 							if t.Pos.Dist2(s.Pos) > rc2 {
 								continue
 							}
-							if tw == 0 {
-								f = f.Add(open.Pair(t.Pos, s.Pos))
-								pairs++
-								continue
-							}
-							soa.X[staged], soa.Y[staged] = s.Pos.X, s.Pos.Y
-							staged++
+							f = f.Add(open.Pair(t.Pos, s.Pos))
 							pairs++
-							if staged == tw {
-								f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
-								staged = 0
-							}
 						}
-					}
-					if staged > 0 {
-						f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
 					}
 					t.Force = f
 					li++
 				}
 				return pairs
 			})
+			st.CountPairs(counted)
 			po.stampBatch()
 
 			// (3) Export: return force contributions to their owners and

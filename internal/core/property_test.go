@@ -147,3 +147,49 @@ func TestSpanFor(t *testing.T) {
 		t.Errorf("SpanFor(1,16,16) = %d, want 1", got)
 	}
 }
+
+// TestClusteredWorkloadImbalance: a spatially clustered particle set
+// must load-balance perfectly under the all-pairs ID-block distribution
+// but show measurable compute imbalance under the cutoff's spatial
+// decomposition — the contrast behind the paper's uniform-density
+// assumption. Load is the per-rank count of pair evaluations, which is
+// exact and repeatable where per-rank compute time is not.
+func TestClusteredWorkloadImbalance(t *testing.T) {
+	box := phys.NewBox(16, 1, phys.Reflective)
+	clustered := phys.InitClustered(128, box, 2, 0.8, 17)
+
+	prCut := cutoffParams(16, 1, 1, phys.Reflective)
+	prCut.Steps = 3
+	_, repClustered, err := Cutoff(clustered, prCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform := phys.InitLattice(128, box, 17)
+	_, repUniform, err := Cutoff(uniform, prCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic := repClustered.PairImbalance()
+	iu := repUniform.PairImbalance()
+	if ic <= iu {
+		t.Errorf("clustered cutoff pair imbalance %.2f not above uniform %.2f", ic, iu)
+	}
+
+	prAll := prCut
+	prAll.Law = phys.DefaultLaw()
+	_, repAll, err := AllPairs(clustered, prAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ia := repAll.PairImbalance(); ia != 1 {
+		t.Errorf("clustered all-pairs pair imbalance %.3f, want exactly 1", ia)
+	}
+
+	// Sanity: clustered input remains numerically correct.
+	want := serialCutoffRun(clustered, prCut.Law, prCut.Box, prCut.Steps, prCut.DT)
+	got, _, err := Cutoff(clustered, prCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainst(t, got, want, 1e-9)
+}

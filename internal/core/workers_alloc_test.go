@@ -6,13 +6,12 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/phys"
 )
 
-// TestPooledStepsAllocFree extends the end-to-end malloc-delta guard to
+// TestPooledStepsAllocFree extends the end-to-end malloc guard to
 // pooled runs: with workers > 1 the per-step path gains pool dispatch
 // (channel wakes, tile execs, busy stamping) and none of it may
 // allocate. Per-run constant costs — pool construction, worker
@@ -25,13 +24,6 @@ import (
 // across worker counts, so the migration mallocs match exactly).
 func TestPooledStepsAllocFree(t *testing.T) {
 	const c, n = 2, 32
-	mallocs := func(run func()) uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		run()
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
-	}
 
 	// All-pairs: absolute guard, extra pooled steps cost zero mallocs.
 	allpairs := func(steps int) func() {
@@ -43,11 +35,10 @@ func TestPooledStepsAllocFree(t *testing.T) {
 			}
 		}
 	}
-	allpairs(2)() // warm lazy runtime and package state
-	base := mallocs(allpairs(2))
-	long := mallocs(allpairs(12))
+	base := quiescedAllocs(5, allpairs(2))
+	long := quiescedAllocs(5, allpairs(12))
 	if long > base {
-		t.Errorf("allpairs: 10 extra pooled steps allocated %d times, want 0 (2-step run %d mallocs, 12-step run %d)",
+		t.Errorf("allpairs: 10 extra pooled steps allocated %.0f times, want 0 (2-step run %.0f mallocs, 12-step run %.0f)",
 			long-base, base, long)
 	}
 
@@ -63,14 +54,13 @@ func TestPooledStepsAllocFree(t *testing.T) {
 			}
 		}
 	}
-	cutoff(2, 2)() // warm
-	perStep := func(workers int) uint64 {
-		return mallocs(cutoff(12, workers)) - mallocs(cutoff(2, workers))
+	perStep := func(workers int) float64 {
+		return quiescedAllocs(5, cutoff(12, workers)) - quiescedAllocs(5, cutoff(2, workers))
 	}
 	unpooled := perStep(1)
 	pooled := perStep(2)
 	if pooled > unpooled {
-		t.Errorf("cutoff: pooled steps allocated %d more than unpooled over 10 extra steps, want 0 (unpooled %d, pooled %d)",
+		t.Errorf("cutoff: pooled steps allocated %.0f more than unpooled over 10 extra steps, want 0 (unpooled %.0f, pooled %.0f)",
 			pooled-unpooled, unpooled, pooled)
 	}
 }

@@ -148,17 +148,10 @@ func (cl *CellList) Forces(ps []Particle, law Law) {
 // the result is bitwise-identical to Forces for every worker count. A
 // nil pool runs the whole range inline (Forces delegates here).
 func (cl *CellList) ForcesPooled(ps []Particle, law Law, pool *Pool) {
-	cl.ForcesKernel(ps, law.Kernel(), pool)
-}
-
-// ForcesKernel is ForcesPooled with a caller-compiled kernel — the
-// entry point that carries the source-tile knob (Kernel.WithTile) into
-// the cell sweeps. The kernel's cutoff must equal the one the list was
-// built with.
-func (cl *CellList) ForcesKernel(ps []Particle, k Kernel, pool *Pool) {
-	if !k.hasCut || k.rc2 != cl.rc*cl.rc {
+	if law.Cutoff != cl.rc {
 		panic("phys: law cutoff differs from cell list cutoff")
 	}
+	k := law.Kernel()
 	ClearForces(ps)
 	if pool == nil {
 		cl.forcesRange(ps, &k, 0, len(cl.cells))
@@ -168,21 +161,12 @@ func (cl *CellList) ForcesKernel(ps []Particle, k Kernel, pool *Pool) {
 }
 
 // forcesRange evaluates the cells in [lo, hi), dispatching once to the
-// per-potential specialized loop — tiled by default, classic untiled
-// when the kernel's tile knob is negative — and returns the number of
-// target particles covered (the pool's per-tile work measure).
+// per-potential specialized loop, and returns the number of target
+// particles covered (the pool's per-tile work measure).
 func (cl *CellList) forcesRange(ps []Particle, k *Kernel, lo, hi int) int64 {
 	var covered int64
 	for c := lo; c < hi; c++ {
 		covered += int64(len(cl.cells[c]))
-	}
-	if tw := TileWidth(k.tile); tw > 0 {
-		if k.lj {
-			cl.forcesLJTiled(ps, k, lo, hi, tw)
-		} else {
-			cl.forcesRepTiled(ps, k, lo, hi, tw)
-		}
-		return covered
 	}
 	if k.lj {
 		cl.forcesLJ(ps, k, lo, hi)

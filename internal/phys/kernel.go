@@ -7,13 +7,8 @@ import "math"
 // when the kernel is built, instead of once per pair. Accumulate and
 // AccumulateIn dispatch to one of four specialized loops (repulsive or
 // Lennard-Jones, open or cutoff) whose bodies keep every constant in a
-// local and never consult the Law again. The flavors whose reference
-// semantics permit skipping force-free pairs (the box-metric cutoff
-// loops here, and the cell-list sweeps) run by default in their tiled
-// SoA gate-compact-sweep form (see kernel_tiled.go); WithTile tunes the
-// tile width, forces the tiled form for the remaining flavors, or
-// selects the classic untiled loops below — every choice
-// bitwise-identical.
+// local and never consult the Law again. Each flavor has exactly one
+// loop.
 //
 // The specialized loops are bitwise-identical to the generic
 // Law.Pair-per-pair path (AccumulateGeneric, AccumulateInGeneric): they
@@ -36,7 +31,6 @@ type Kernel struct {
 	sig2   float64 // σ²
 	soft2  float64 // softening²
 	rc2    float64 // cutoff²
-	tile   int     // source-tile knob (see WithTile): 0 auto, >0 explicit, <0 untiled
 }
 
 // Kernel compiles the law into its specialized inner-loop form. The
@@ -58,26 +52,7 @@ func (l Law) Kernel() Kernel {
 // target's force accumulator the force from every source, skipping (and
 // not counting) equal-ID pairs, and returns the number of pair
 // evaluations performed. The kind/cutoff dispatch happens once per call.
-//
-// Accumulate's flavors add an exact +0 for every counted force-free
-// pair, so no pair may be compacted away and tiling buys only the SoA
-// layout — measured slower than the classic loops here, where the
-// divider rather than memory is the bottleneck. The auto tile (0)
-// therefore keeps the classic loops; an explicit positive width forces
-// the tiled form (bitwise-identical, for tuning and benchmarks).
 func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
-	if tw := TileWidth(k.tile); k.tile > 0 && tw > 0 {
-		switch {
-		case k.lj && k.hasCut:
-			return k.accumulateLJCutTiled(targets, sources, tw)
-		case k.lj:
-			return k.accumulateLJOpenTiled(targets, sources, tw)
-		case k.hasCut:
-			return k.accumulateRepCutTiled(targets, sources, tw)
-		default:
-			return k.accumulateRepOpenTiled(targets, sources, tw)
-		}
-	}
 	switch {
 	case k.lj && k.hasCut:
 		return k.accumulateLJCut(targets, sources)
@@ -94,24 +69,7 @@ func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
 // under the box metric (minimum-image displacements for periodic boxes),
 // counting beyond-cutoff pairs as evaluations exactly as the generic
 // path does.
-//
-// The cutoff flavors skip beyond-cutoff pairs without any add, which
-// legalizes the tiled gate-compact-sweep loops (the headline win of the
-// tiling — see kernel_tiled.go), so they run tiled by default. The open
-// flavors must add for every counted pair, like Accumulate, and keep
-// the classic loops under the auto tile.
 func (k *Kernel) AccumulateIn(targets, sources []Particle, box Box) int64 {
-	if tw := TileWidth(k.tile); tw > 0 && k.hasCut {
-		if k.lj {
-			return k.accumulateInLJCutTiled(targets, sources, box, tw)
-		}
-		return k.accumulateInRepCutTiled(targets, sources, box, tw)
-	} else if k.tile > 0 && tw > 0 {
-		if k.lj {
-			return k.accumulateInLJOpenTiled(targets, sources, box, tw)
-		}
-		return k.accumulateInRepOpenTiled(targets, sources, box, tw)
-	}
 	switch {
 	case k.lj && k.hasCut:
 		return k.accumulateInLJCut(targets, sources, box)

@@ -77,6 +77,7 @@ type PhaseStats struct {
 	Bytes        int64         // payload bytes sent
 	RecvMessages int64         // messages received
 	RecvBytes    int64         // payload bytes received
+	Pairs        int64         // pair-force evaluations counted
 	Time         time.Duration // wall time spent in the phase
 }
 
@@ -94,6 +95,7 @@ func (s *PhaseStats) Add(o PhaseStats) {
 	s.Bytes += o.Bytes
 	s.RecvMessages += o.RecvMessages
 	s.RecvBytes += o.RecvBytes
+	s.Pairs += o.Pairs
 	s.Time += o.Time
 }
 
@@ -111,6 +113,9 @@ func (s *PhaseStats) Max(o PhaseStats) {
 	}
 	if o.RecvBytes > s.RecvBytes {
 		s.RecvBytes = o.RecvBytes
+	}
+	if o.Pairs > s.Pairs {
+		s.Pairs = o.Pairs
 	}
 	if o.Time > s.Time {
 		s.Time = o.Time
@@ -204,6 +209,12 @@ func (s *Stats) CountMessage(n int) {
 	s.guard.check()
 	s.ByPhase[s.phase].Messages++
 	s.ByPhase[s.phase].Bytes += int64(n)
+}
+
+// CountPairs attributes n pair-force evaluations to the active phase.
+func (s *Stats) CountPairs(n int64) {
+	s.guard.check()
+	s.ByPhase[s.phase].Pairs += n
 }
 
 // CountRecv attributes one received message of n payload bytes to the
@@ -335,6 +346,19 @@ func (r *Report) Imbalance(p Phase) float64 {
 
 // ComputeImbalance is Imbalance(Compute), the headline balance metric.
 func (r *Report) ComputeImbalance() float64 { return r.Imbalance(Compute) }
+
+// PairImbalance is the compute imbalance in counted work rather than
+// wall time: the maximum per-rank pair-force evaluation count divided
+// by the mean. Unlike ComputeImbalance it is a pure function of the
+// input and the configuration, so it repeats exactly from run to run.
+// Runs that counted no pairs report 1.
+func (r *Report) PairImbalance() float64 {
+	sum := r.Sum[Compute].Pairs
+	if r.Ranks == 0 || sum == 0 {
+		return 1
+	}
+	return float64(r.CriticalPath[Compute].Pairs) * float64(r.Ranks) / float64(sum)
+}
 
 // WorkerImbalance returns the intra-rank force-pool skew: the busiest
 // rank×worker lane divided by the mean lane, over every lane that any

@@ -287,10 +287,19 @@ func TestImbalance(t *testing.T) {
 	a, b := NewStats(), NewStats()
 	a.ByPhase[Compute].Time = 3 * time.Second
 	b.ByPhase[Compute].Time = 1 * time.Second
+	a.SetPhase(Compute)
+	b.SetPhase(Compute)
+	a.CountPairs(10)
+	b.CountPairs(20)
+	b.CountPairs(10)
 	r := Aggregate([]*Stats{a, b})
 	// max 3s over mean 2s.
 	if got := r.ComputeImbalance(); got != 1.5 {
 		t.Errorf("imbalance = %g, want 1.5", got)
+	}
+	// max 30 pairs over mean 20.
+	if got := r.PairImbalance(); got != 1.5 {
+		t.Errorf("pair imbalance = %g, want 1.5", got)
 	}
 	// Untouched phase reports neutral balance.
 	if got := r.Imbalance(Shift); got != 1 {
@@ -299,6 +308,9 @@ func TestImbalance(t *testing.T) {
 	empty := Aggregate(nil)
 	if got := empty.ComputeImbalance(); got != 1 {
 		t.Errorf("empty report imbalance = %g", got)
+	}
+	if got := empty.PairImbalance(); got != 1 {
+		t.Errorf("empty report pair imbalance = %g", got)
 	}
 }
 
