@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test flaky race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench
+.PHONY: check build vet test flaky race obsdebug benchguard netsmoke placesmoke perfbenchtest
 
-check: build vet test flaky race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
+check: build vet test flaky race obsdebug benchguard netsmoke placesmoke perfbenchtest
 
 build:
 	$(GO) build ./...
@@ -26,12 +26,13 @@ flaky:
 	GOMAXPROCS=2 $(GO) test -count=20 -shuffle=on ./internal/core/...
 
 # Goroutines share state in the comm substrate, the observability
-# layer, and — since the zero-copy typed transport — the core timestep
-# loops, whose buffers cross rank goroutines by reference under an
-# ownership-transfer contract. The phys worker pool adds a second tier
-# of goroutines (intra-rank force tiles). Run them under the race
-# detector: for core and phys it is the mechanical check of those
-# contracts.
+# layer (the live hub serves /series.json, /metrics, /trace and
+# /matrix.json while a run writes them — TestSeriesServesMidRun), and
+# the core timestep loops, whose buffers cross rank goroutines by
+# reference under the typed transport's ownership-transfer contract.
+# The phys worker pool adds a second tier of goroutines (intra-rank
+# force tiles). Run them under the race detector: for core and phys it
+# is the mechanical check of those contracts.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/core/... ./internal/phys/... ./internal/vec/... ./internal/place/...
 
@@ -48,21 +49,6 @@ benchguard:
 	$(GO) test -run TestDisabledPathAllocs ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkObsDisabled -benchtime 100000x ./internal/obs/
 
-# Smoke gates: the specialized LJ-cutoff kernel must beat the generic
-# per-pair path and the typed transport must beat the serialize-and-ship
-# fallback (small thresholds, robust to loaded machines); the
-# specialized kernel must not allocate; pooled (workers>1) runs must be
-# bitwise-identical to workers=1 with unchanged S/W.
-benchsmoke:
-	$(GO) run ./cmd/bench -smoke
-
-# Live-telemetry smoke gate: run an observed simulation with the HTTP
-# hub serving, scrape /metrics, /trace and /snapshot.json mid-run (all
-# must stay well-formed), and check the final communication matrix
-# conserves the report's per-phase traffic bitwise.
-httpsmoke:
-	$(GO) run ./cmd/bench -httpsmoke
-
 # Multi-process transport gate: run each timestep loop once in-process
 # and once spanned across OS processes over TCP loopback (-spawn), and
 # require bitwise-identical checkpoints plus exactly matching
@@ -72,33 +58,18 @@ netsmoke:
 	sh scripts/netsmoke.sh
 
 # Placement smoke gate: on the committed p=64 cutoff communication
-# matrix over the Balanced3D generic torus, the seeded PSO and
-# annealing searchers must beat the identity hop cost and reproduce
-# the committed golden objective values bitwise (the searcher
-# arithmetic is deterministic). Regenerate the golden file with
+# matrix over the Balanced3D generic torus, the greedy constructor and
+# the seeded annealing searcher must beat the identity hop cost and
+# reproduce the committed golden objective values bitwise (the
+# searcher arithmetic is deterministic). Regenerate the golden file with
 # `go test ./internal/place/ -run TestPlaceGolden -update` after an
 # intentional searcher change.
 placesmoke:
 	$(GO) test -run TestPlaceGolden ./internal/place/
 
-# Perf-regression gate: run the quick bench (timesteps, transport,
-# placement search, recorder overhead) and diff the result against the
-# committed baseline with obsdiff, which exits 1 if any shared metric
-# regresses past the threshold. The threshold is deliberately loose —
-# wall-clock metrics on a loaded CI machine vary severalfold; the gate
-# catches order-of-magnitude regressions (a quadratic slip, a lost fast
-# path), while tighter human-reviewed comparisons use obsdiff directly
-# on recordings.
-benchdiff:
-	$(GO) run ./cmd/bench -quick -o /tmp/canbody_benchdiff.json
-	$(GO) run ./cmd/obsdiff -threshold 8 BENCH_PR9.json /tmp/canbody_benchdiff.json
-
-# Full benchmark report: kernel microbenchmarks (generic vs specialized,
-# pooled worker widths), speedups,
-# end-to-end per-step wall times, the typed-vs-encoded transport
-# comparison, the rank×worker scaling grid, the placement-searcher
-# timings, and the flight-recorder overhead, written to BENCH_PR9.json.
-# The obs micro-benchmarks ride along.
-bench:
-	$(GO) run ./cmd/bench -o BENCH_PR9.json
-	$(GO) test -run NONE -bench . -benchtime 1s ./internal/obs/
+# The benchmark's own tests: a tiny run of every BENCHMARK.json
+# workload in both modes, the exact-count checks and VerifySerial, and
+# the statistics behind its A/B verdict. perfbench is a module of its
+# own, so the root `go test ./...` cannot reach it.
+perfbenchtest:
+	cd perfbench && $(GO) test ./...

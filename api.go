@@ -187,12 +187,6 @@ type Config struct {
 	// raising Workers only while P × Workers ≤ GOMAXPROCS; negative
 	// values are rejected.
 	Workers int
-	// EncodedTransport selects the serialize-and-ship message path for
-	// the CA timestep loops instead of the default zero-copy typed
-	// transport. Results and measured communication quantities are
-	// bit-identical either way; the encoded path exists as the
-	// verification fallback and benchmark baseline.
-	EncodedTransport bool
 	// Observe, when non-nil, records a per-rank event timeline and a
 	// metrics registry during runs; retrieve them with
 	// Simulation.Timeline and Simulation.MetricsSnapshot. Nil (the
@@ -265,7 +259,6 @@ func (c Config) params(steps int) core.Params {
 		Steps:   steps,
 		Options: comm.Options{Collectives: c.Collectives},
 		Overlap: c.Overlap,
-		Encoded: c.EncodedTransport,
 		Workers: c.Workers,
 		Proc:    c.Proc,
 	}

@@ -1,16 +1,14 @@
-// Command obsdiff compares two performance artifacts — flight
-// recordings (JSONL, as written by nbody/sweep -record-out) or bench
-// reports (BENCH_*.json) — metric by metric, and exits nonzero when any
-// metric regresses past its threshold. It is the perf-regression gate
-// `make check` runs against the committed baselines.
+// Command obsdiff compares two flight recordings (JSONL, as written by
+// nbody/sweep -record-out) metric by metric, and exits nonzero when any
+// metric regresses past its threshold. `make netsmoke` runs it with
+// -exact to hold a socket run's accounting to the in-process run's.
 //
 // Usage:
 //
 //	obsdiff [-threshold R] [-m name=ratio ...] [-exact substr ...] [-require N] OLD NEW
 //
-// A WorseUp metric (times, bytes, allocs) breaches when new >
-// old·threshold; a WorseDown metric (speedups) when new <
-// old/threshold. Exit codes: 0 ok, 1 regression, 2 usage or load error.
+// A WorseUp metric (times, bytes, message counts) breaches when new >
+// old·threshold. Exit codes: 0 ok, 1 regression, 2 usage or load error.
 package main
 
 import (
@@ -54,14 +52,14 @@ func (f perMetricFlag) Set(v string) error {
 
 func main() {
 	perMetric := perMetricFlag{}
-	threshold := flag.Float64("threshold", 1.5, "default regression ratio: worse-if-up metrics fail when new > old*threshold, worse-if-down when new < old/threshold (0 = report only)")
+	threshold := flag.Float64("threshold", 1.5, "default regression ratio: worse-if-up metrics fail when new > old*threshold (0 = report only)")
 	flag.Var(perMetric, "m", "per-metric threshold override, name=ratio (repeatable)")
 	var exact stringsFlag
 	flag.Var(&exact, "exact", "metric-name substring that must match exactly — any difference breaches (repeatable); use for deterministic counts that must be transport-invariant")
 	require := flag.Int("require", 1, "minimum number of common metrics the two artifacts must share")
 	quiet := flag.Bool("q", false, "print only breaching rows")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: obsdiff [flags] OLD NEW\n  OLD, NEW: a flight recording (.jsonl[.gz]) or a bench report (BENCH_*.json)\n")
+		fmt.Fprintf(os.Stderr, "usage: obsdiff [flags] OLD NEW\n  OLD, NEW: flight recordings (.jsonl[.gz])\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,7 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "obsdiff: %v\n", err)
 		os.Exit(2)
 	}
-	if oldDoc.Kind == "recording" && newDoc.Kind == "recording" && oldDoc.Key != newDoc.Key {
+	if oldDoc.Key != newDoc.Key {
 		fmt.Fprintf(os.Stderr, "obsdiff: WARNING: comparing different configurations:\n  old %s\n  new %s\n", oldDoc.Key, newDoc.Key)
 	}
 

@@ -226,7 +226,7 @@ func (c *Comm) finishRecv(m message, from, tag int, t0 int64) {
 
 // Payload accessors: the algorithms in this repository are
 // deterministic, so a receive finding the wrong payload representation
-// indicates a schedule bug mixing the typed and encoded transports and
+// indicates a schedule bug mixing typed and byte-encoded messages and
 // panics rather than silently converting.
 
 func (m message) bytesPayload(c *Comm) []byte {

@@ -156,26 +156,13 @@ func (r *Request) waitSent() {
 	}
 }
 
-// SendrecvOverlap performs the shift exchange of Sendrecv but runs
-// overlap() between posting the send and collecting the receive, letting
-// computation on the outgoing buffer proceed while the payloads move.
-func (c *Comm) SendrecvOverlap(to int, data []byte, from, tag int, overlap func()) []byte {
-	if to == c.rank && from == c.rank {
-		overlap()
-		return data
-	}
-	send := c.Isend(to, tag, data)
-	recv := c.Irecv(from, tag)
-	overlap()
-	out := recv.Wait()
-	send.Wait()
-	return out
-}
-
-// SendrecvParticlesOverlap is SendrecvOverlap over the typed transport.
-// The outgoing slice may still be read by overlap() while in flight
-// (receivers only read it too); see the ownership contract on
-// SendParticles for when the buffer may be written again.
+// SendrecvParticlesOverlap performs the shift exchange of
+// SendrecvParticles but runs overlap() between posting the send and
+// collecting the receive, letting computation on the outgoing buffer
+// proceed while the payloads move. The outgoing slice may still be read
+// by overlap() while in flight (receivers only read it too); see the
+// ownership contract on SendParticles for when the buffer may be
+// written again.
 func (c *Comm) SendrecvParticlesOverlap(to int, ps []phys.Particle, from, tag int, overlap func()) []phys.Particle {
 	if to == c.rank && from == c.rank {
 		overlap()

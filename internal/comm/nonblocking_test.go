@@ -3,6 +3,8 @@ package comm
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/phys"
 )
 
 func TestIsendIrecvBasic(t *testing.T) {
@@ -54,14 +56,14 @@ func TestIsendBeyondMailboxCapacity(t *testing.T) {
 func TestSendrecvOverlapRunsCallback(t *testing.T) {
 	const p = 8
 	_, err := Run(p, Options{}, func(c *Comm) error {
-		data := []byte{byte(c.Rank())}
+		data := []phys.Particle{{ID: uint32(c.Rank())}}
 		ran := false
-		got := c.SendrecvOverlap((c.Rank()+1)%p, data, (c.Rank()+p-1)%p, 0, func() { ran = true })
+		got := c.SendrecvParticlesOverlap((c.Rank()+1)%p, data, (c.Rank()+p-1)%p, 0, func() { ran = true })
 		if !ran {
 			return fmt.Errorf("overlap callback skipped")
 		}
-		if want := byte((c.Rank() + p - 1) % p); got[0] != want {
-			return fmt.Errorf("got payload from %d, want %d", got[0], want)
+		if want := uint32((c.Rank() + p - 1) % p); got[0].ID != want {
+			return fmt.Errorf("got payload from %d, want %d", got[0].ID, want)
 		}
 		return nil
 	})
@@ -73,8 +75,8 @@ func TestSendrecvOverlapRunsCallback(t *testing.T) {
 func TestSendrecvOverlapSingleRank(t *testing.T) {
 	_, err := Run(1, Options{}, func(c *Comm) error {
 		ran := false
-		out := c.SendrecvOverlap(0, []byte{7}, 0, 0, func() { ran = true })
-		if !ran || out[0] != 7 {
+		out := c.SendrecvParticlesOverlap(0, []phys.Particle{{ID: 7}}, 0, 0, func() { ran = true })
+		if !ran || out[0].ID != 7 {
 			return fmt.Errorf("degenerate overlap broken: ran=%v out=%v", ran, out)
 		}
 		return nil

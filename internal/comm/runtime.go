@@ -94,8 +94,8 @@ func f64sMsg(vals []float64) message {
 }
 
 // frameBytes is the wire size of the source-team frame a
-// payloadTeamParticles message carries (mirrors appendFrameTeam's header
-// in internal/core).
+// payloadTeamParticles message carries: a 4-byte team header ahead of
+// the encoded particles.
 const frameBytes = 4
 
 // mailboxCap is the default per-(src,dst) channel buffer. The algorithms

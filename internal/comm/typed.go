@@ -54,8 +54,10 @@ func (c *Comm) SendrecvParticles(to int, ps []phys.Particle, from, tag int) []ph
 
 // SendTeamParticles is SendParticles with a source-team frame: the
 // message carries the sending team's id alongside the payload and is
-// charged the framed wire size, 4 + phys.WireBytes(len(ps)) — exactly
-// what the encoded path's frameTeam layout occupies.
+// charged the framed wire size, 4 + phys.WireBytes(len(ps)) — a 4-byte
+// source-team header followed by the particles in the 52-byte wire
+// codec, which is what the socket mesh ships (the header travels in
+// the frame's Hdr field).
 func (c *Comm) SendTeamParticles(to, tag, team int, ps []phys.Particle) {
 	c.sendMsg(to, tag, teamParticlesMsg(team, ps))
 }

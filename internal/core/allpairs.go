@@ -89,19 +89,15 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 		pool := phys.NewPool(pr.WorkersPerRank())
 		defer pool.Close()
 		po := newPoolObs(pool, st, mx)
-		x := newXfer(pr.Encoded, -1, pr.Overlap)
+		x := newXfer(-1, pr.Overlap)
 		var team []phys.Particle
-		update := func() error {
-			_, visiting, err := x.view()
-			if err != nil {
-				return err
-			}
+		update := func() {
+			_, visiting := x.view()
 			st.SetPhase(trace.Compute)
 			pairs := pool.Accumulate(kern, team, visiting)
 			pairEvals.Add(pairs)
 			st.CountPairs(pairs)
 			po.stampBatch()
-			return nil
 		}
 
 		for step := 0; step < pr.Steps; step++ {
@@ -117,11 +113,7 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 			if row == 0 {
 				lead = mine
 			}
-			var err error
-			team, err = x.bcastTeam(teamComm, lead)
-			if err != nil {
-				return err
-			}
+			team = x.bcastTeam(teamComm, lead)
 
 			// (2) Copy St to the exchange buffer.
 			x.loadExchange(team)
@@ -146,21 +138,15 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 					to := topo.Mod(col+pr.C, T)
 					from := topo.Mod(col-pr.C, T)
 					if pr.Overlap {
-						err := x.shiftOverlap(rowComm, to, from, tagShift+i, func() error {
-							uerr := update()
+						x.shiftOverlap(rowComm, to, from, tagShift+i, func() {
+							update()
 							st.SetPhase(trace.Shift)
-							return uerr
 						})
-						if err != nil {
-							return err
-						}
 						continue
 					}
 					x.shift(rowComm, to, from, tagShift+i)
 				}
-				if err := update(); err != nil {
-					return err
-				}
+				update()
 			}
 
 			// (5) Sum-reduce the partial force contributions within the

@@ -40,12 +40,6 @@ type Params struct {
 	// is synchronous; this is the optimization production MD codes add
 	// on top.
 	Overlap bool
-	// Encoded selects the serialize-and-ship transport for the timestep
-	// loops instead of the default zero-copy typed transport. The two
-	// are bit-identical in results and in measured communication
-	// quantities (the transport property tests assert it); the encoded
-	// path remains as the verification fallback and benchmark baseline.
-	Encoded bool
 	// Workers is the intra-rank worker-pool width for the force phase:
 	// each rank tiles its force accumulation over this many goroutines
 	// (disjoint target blocks, bitwise-identical results for any
@@ -120,7 +114,7 @@ func flattenForces(ps []phys.Particle) []float64 {
 // flattenForcesInto is flattenForces appending into dst, reusing its
 // capacity; the timestep loops pass a retained scratch as dst[:0] so the
 // steady-state flatten allocates nothing. Reuse across steps is safe
-// because ReduceF64s copies the payload before any rank retains it.
+// by the ordering argued at xfer.reduceForces.
 func flattenForcesInto(dst []float64, ps []phys.Particle) []float64 {
 	for i := range ps {
 		dst = append(dst, ps[i].Force.X, ps[i].Force.Y)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -122,22 +121,18 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 		pool := phys.NewPool(pr.WorkersPerRank())
 		defer pool.Close()
 		po := newPoolObs(pool, st, mx)
-		x := newXfer(pr.Encoded, team, pr.Overlap)
+		x := newXfer(team, pr.Overlap)
 		var teamCopy []phys.Particle
-		update := func() error {
-			srcTeam, visiting, err := x.view()
-			if err != nil {
-				return err
-			}
+		update := func() {
+			srcTeam, visiting := x.view()
 			if !withinWindow(tg, team, srcTeam, m, wrap) {
-				return nil // aliased buffer from beyond a reflective edge
+				return // aliased buffer from beyond a reflective edge
 			}
 			st.SetPhase(trace.Compute)
 			pairs := pool.AccumulateIn(kern, teamCopy, visiting, pr.Box)
 			pairEvals.Add(pairs)
 			st.CountPairs(pairs)
 			po.stampBatch()
-			return nil
 		}
 		shiftPeers := func(i int) (to, from int, ok bool) {
 			mv := sched.Move(layer, i)
@@ -162,11 +157,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 			if layer == 0 {
 				lead = mine
 			}
-			var err error
-			teamCopy, err = x.bcastTeam(teamComm, lead)
-			if err != nil {
-				return err
-			}
+			teamCopy = x.bcastTeam(teamComm, lead)
 
 			// (2) The exchange buffer carries its true source team so
 			// receivers can reject aliased buffers near reflective
@@ -194,9 +185,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 						pending = true
 					}
 				}
-				if err := update(); err != nil {
-					return err
-				}
+				update()
 				st.SetPhase(trace.Shift)
 				if pending {
 					x.finishShift()
@@ -218,7 +207,8 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 
 				// (6) Spatial reassignment between neighboring teams.
 				st.SetPhase(trace.Reassign)
-				mine, err = migrate(x, leaderComm, tg, team, mine, pr.Box, dirs, wrap)
+				var err error
+				mine, err = migrate(leaderComm, tg, team, mine, pr.Box, dirs, wrap)
 				if err != nil {
 					return err
 				}
@@ -280,28 +270,6 @@ func withinWindow(tg topo.TeamGrid, team, src, m int, wrap bool) bool {
 	return tg.ChebyshevDist(team, src, wrap) <= m
 }
 
-// frameTeam prefixes the encoded particle payload with its source team.
-func frameTeam(team int, body []byte) []byte {
-	return appendFrameTeam(make([]byte, 0, 4+len(body)), team, body)
-}
-
-// appendFrameTeam is frameTeam appending into dst, reusing its capacity;
-// the timestep loop passes a retained exchange buffer as dst[:0] so the
-// steady-state frame allocates nothing.
-func appendFrameTeam(dst []byte, team int, body []byte) []byte {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(team))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
-}
-
-func unframeTeam(b []byte) (int, []byte) {
-	if len(b) < 4 {
-		panic(fmt.Sprintf("core: malformed exchange frame of %d bytes", len(b)))
-	}
-	return int(binary.LittleEndian.Uint32(b)), b[4:]
-}
-
 // migrationDirs lists the neighbor directions particles can migrate
 // toward in one timestep, in a fixed order shared by all leaders.
 func migrationDirs(dim int) []topo.Offset {
@@ -321,12 +289,12 @@ func migrationDirs(dim int) []topo.Offset {
 }
 
 // migrate exchanges particles that left the team's spatial region with
-// the neighboring teams over the given transport and returns the updated
-// local set. Outgoing slices are freshly built each step and transfer
-// ownership outright on typed sends. Particles may move at most one team
+// the neighboring teams' leaders and returns the updated local set.
+// Outgoing slices are freshly built each step and transfer ownership
+// outright on the typed sends. Particles may move at most one team
 // width per step; exceeding that is reported as an error (the timestep
 // is too large for the decomposition).
-func migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, dirs []topo.Offset, wrap bool) ([]phys.Particle, error) {
+func migrate(leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, dirs []topo.Offset, wrap bool) ([]phys.Particle, error) {
 	tx, ty := tg.Coord(team)
 	stay := mine[:0]
 	outgoing := make(map[topo.Offset][]phys.Particle)
@@ -352,16 +320,12 @@ func migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys
 		to, toOK := tg.Neighbor(team, dir.DX, dir.DY, wrap)
 		from, fromOK := tg.Neighbor(team, -dir.DX, -dir.DY, wrap)
 		if toOK && to != team {
-			x.sendParticles(leaders, to, tagMigrate+d, outgoing[dir])
+			leaders.SendParticles(to, tagMigrate+d, outgoing[dir])
 		} else if len(outgoing[dir]) > 0 {
 			return nil, fmt.Errorf("core: particles migrating off the reflective grid toward %+v", dir)
 		}
 		if fromOK && from != team {
-			inc, err := x.recvParticles(leaders, from, tagMigrate+d)
-			if err != nil {
-				return nil, err
-			}
-			merged = append(merged, inc...)
+			merged = append(merged, leaders.RecvParticles(from, tagMigrate+d)...)
 		}
 	}
 	phys.SortByID(merged)

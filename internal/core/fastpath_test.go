@@ -8,49 +8,29 @@ import (
 )
 
 // TestSteadyStateStepAllocFree pins the zero-allocation claim for the
-// timestep hot path: the sequence of encode, decode, frame, unframe,
-// kernel evaluation, force flatten/apply and integration that every rank
-// runs per step — with the retained scratch buffers the real loops in
-// AllPairs and Cutoff carry — must not allocate once the buffers have
-// grown to size. The first call (AllocsPerRun's warm-up) does the
-// growing; the measured runs must stay off the heap.
+// per-rank compute half of a timestep: kernel evaluation, force
+// flatten/apply and integration — with the retained scratch buffers
+// the real loops in AllPairs and Cutoff carry — must not allocate once
+// the buffers have grown to size. The first call (AllocsPerRun's
+// warm-up) does the growing; the measured runs must stay off the heap.
+// The message half is pinned by comm's TestTypedShiftsSteadyStateAllocFree.
 func TestSteadyStateStepAllocFree(t *testing.T) {
 	box := phys.NewBox(4, 2, phys.Periodic)
 	law := phys.LJLaw(1, 0.3).WithCutoff(1.0)
 	kern := law.Kernel()
 	mine := phys.InitUniform(32, box, 7)
+	team := append([]phys.Particle(nil), mine...)
 
-	var (
-		bcast    []byte
-		exchange []byte
-		team     []phys.Particle
-		visiting []phys.Particle
-		forces   []float64
-	)
-	var stepErr error
+	var forces []float64
 	step := func() {
-		bcast = phys.AppendSlice(bcast[:0], mine)
-		team, stepErr = phys.DecodeSliceInto(team[:0], bcast)
-		if stepErr != nil {
-			return
-		}
 		phys.ClearForces(team)
-		exchange = appendFrameTeam(exchange[:0], 3, bcast)
-		_, body := unframeTeam(exchange)
-		visiting, stepErr = phys.DecodeSliceInto(visiting[:0], body)
-		if stepErr != nil {
-			return
-		}
-		kern.AccumulateIn(team, visiting, box)
+		kern.AccumulateIn(team, mine, box)
 		forces = flattenForcesInto(forces[:0], team)
-		applyForces(team, forces)
+		applyForces(mine, forces)
 		phys.Step(mine, box, 1e-4)
 	}
 	if a := testing.AllocsPerRun(50, step); a != 0 {
 		t.Errorf("steady-state step allocated %.1f times per run, want 0", a)
-	}
-	if stepErr != nil {
-		t.Fatal(stepErr)
 	}
 }
 

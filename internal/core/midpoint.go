@@ -78,7 +78,6 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
 		me := world.Rank()
 		st := world.Stats()
-		x := newXfer(pr.Encoded, me, false)
 		pool := phys.NewPool(pr.WorkersPerRank())
 		defer pool.Close()
 
@@ -243,7 +242,7 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			st.SetPhase(trace.Compute)
 			phys.Step(mine, pr.Box, pr.DT)
 			st.SetPhase(trace.Reassign)
-			migrated, err := migrate(x, world, tg, me, mine, pr.Box, dirs, false)
+			migrated, err := migrate(world, tg, me, mine, pr.Box, dirs, false)
 			if err != nil {
 				return err
 			}

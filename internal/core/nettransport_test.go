@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -10,6 +11,46 @@ import (
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
+
+// sameReportCounts asserts two reports agree on every communication
+// quantity (messages and bytes, critical-path and sum, per phase),
+// ignoring only wall-clock time. This is the accounting half of the
+// transport-fidelity contract: swapping the transport must not move a
+// single counted message or byte.
+func sameReportCounts(t *testing.T, want, got *trace.Report) {
+	t.Helper()
+	if want.Ranks != got.Ranks {
+		t.Fatalf("rank count: want %d, got %d", want.Ranks, got.Ranks)
+	}
+	check := func(label string, a, b trace.PhaseStats) {
+		if a.Messages != b.Messages || a.Bytes != b.Bytes ||
+			a.RecvMessages != b.RecvMessages || a.RecvBytes != b.RecvBytes {
+			t.Errorf("%s: want {S=%d W=%d R=%d RW=%d}, got {S=%d W=%d R=%d RW=%d}",
+				label, a.Messages, a.Bytes, a.RecvMessages, a.RecvBytes,
+				b.Messages, b.Bytes, b.RecvMessages, b.RecvBytes)
+		}
+	}
+	for _, ph := range trace.Phases() {
+		check(fmt.Sprintf("critical-path %v", ph), want.CriticalPath[ph], got.CriticalPath[ph])
+		check(fmt.Sprintf("sum %v", ph), want.Sum[ph], got.Sum[ph])
+	}
+}
+
+// samePhysState asserts exact struct equality of two particle sets —
+// not approximate agreement: both runs perform the identical
+// floating-point operations in the identical order, so any difference
+// at all is a transport bug.
+func samePhysState(t *testing.T, want, got []phys.Particle) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("got %d particles, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("particle %d differs between transports:\n want %+v\n got  %+v", i, want[i], got[i])
+		}
+	}
+}
 
 // runOverSockets executes an algorithm collectively across `procs`
 // in-process "OS processes" joined over a unix-socket mesh, splitting
@@ -29,7 +70,7 @@ func runOverSockets(t *testing.T, procs int, pr Params, ps []phys.Particle,
 	if pr.P%procs != 0 {
 		t.Fatalf("p=%d not divisible by procs=%d", pr.P, procs)
 	}
-	rendezvous := "unix:" + filepath.Join(t.TempDir(), "r.sock")
+	rendezvous := sockRendezvous(t)
 	states := make([][]phys.Particle, procs)
 	reports := make([]*trace.Report, procs)
 	errs := make([]error, procs)
@@ -69,6 +110,20 @@ func runOverSockets(t *testing.T, procs int, pr Params, ps []phys.Particle,
 	return states[0], reports[0]
 }
 
+// sockRendezvous returns a unix-socket rendezvous address in a fresh
+// temporary directory. The directory is named independently of the
+// test: t.TempDir embeds the subtest name, and a long one pushes the
+// mesh's derived listener paths past the 108-byte sun_path limit.
+func sockRendezvous(t *testing.T) string {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	return "unix:" + filepath.Join(dir, "r.sock")
+}
+
 // checkSocketMatchesInProcess runs the algorithm once in-process and
 // once distributed over `procs` socket-joined processes and requires
 // bit-identical state plus identical per-phase accounting.
@@ -93,6 +148,12 @@ func TestAllPairsSocketMatchesInProcess(t *testing.T) {
 		{2, 4, 2, 24, false},
 		{2, 4, 2, 24, true},
 		{4, 4, 1, 24, false},
+		{2, 4, 1, 24, false},
+		{4, 4, 2, 24, false},
+		{4, 4, 2, 24, true},
+		{2, 8, 2, 32, false},
+		{2, 8, 2, 32, true},
+		{4, 16, 4, 48, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -113,8 +174,15 @@ func TestCutoffSocketMatchesInProcess(t *testing.T) {
 		overlap             bool
 	}{
 		{2, 4, 1, 1, 32, phys.Periodic, false},
+		{2, 8, 1, 1, 64, phys.Periodic, false},
 		{2, 8, 1, 1, 64, phys.Periodic, true},
+		{4, 8, 1, 1, 64, phys.Periodic, true},
 		{4, 8, 1, 1, 64, phys.Reflective, false},
+		{2, 16, 2, 1, 64, phys.Reflective, false},
+		{2, 16, 2, 1, 64, phys.Reflective, true},
+		{4, 16, 1, 2, 96, phys.Reflective, false},
+		{4, 16, 1, 2, 96, phys.Reflective, true},
+		{4, 32, 2, 2, 96, phys.Reflective, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -129,13 +197,23 @@ func TestCutoffSocketMatchesInProcess(t *testing.T) {
 }
 
 func TestMidpointSocketMatchesInProcess(t *testing.T) {
-	for _, procs := range []int{2, 4} {
-		procs := procs
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+	cases := []struct {
+		name             string
+		procs, p, dim, n int
+		run              func([]phys.Particle, Params) ([]phys.Particle, *trace.Report, error)
+	}{
+		{"procs=2", 2, 4, 1, 32, Midpoint1D},
+		{"procs=4", 4, 4, 1, 32, Midpoint1D},
+		// 2D: migration over all eight neighbor directions.
+		{"procs=4/p=16/dim=2", 4, 16, 2, 64, Midpoint2D},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			pr := cutoffParams(4, 1, 1, phys.Reflective)
-			ps := phys.InitUniform(32, pr.Box, 13)
-			checkSocketMatchesInProcess(t, procs, pr, ps, Midpoint1D)
+			pr := cutoffParams(tc.p, 1, tc.dim, phys.Reflective)
+			ps := phys.InitUniform(tc.n, pr.Box, 13)
+			checkSocketMatchesInProcess(t, tc.procs, pr, ps, tc.run)
 		})
 	}
 }
@@ -156,7 +234,7 @@ func TestSocketBackToBackRuns(t *testing.T) {
 		t.Fatalf("in-process run: %v", err)
 	}
 
-	rendezvous := "unix:" + filepath.Join(t.TempDir(), "r2.sock")
+	rendezvous := sockRendezvous(t)
 	type result struct {
 		states  [2][]phys.Particle
 		reports [2]*trace.Report

@@ -152,43 +152,49 @@ func TestMatrixConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			snap := ob.Matrix().Snapshot(nil)
-			if len(snap.Phases) == 0 {
-				t.Fatal("matrix recorded no traffic")
-			}
-			sum2 := func(cells [][]int64) int64 {
-				var total int64
-				for _, row := range cells {
-					for _, v := range row {
-						total += v
-					}
-				}
-				return total
-			}
-			covered := map[int]bool{}
-			for _, phs := range snap.Phases {
-				covered[phs.Phase] = true
-				want := rep.Sum[trace.Phase(phs.Phase)]
-				if got := sum2(phs.SentMsgs); got != want.Messages {
-					t.Errorf("phase %d sent msgs: matrix %d, report %d", phs.Phase, got, want.Messages)
-				}
-				if got := sum2(phs.SentBytes); got != want.Bytes {
-					t.Errorf("phase %d sent bytes: matrix %d, report %d", phs.Phase, got, want.Bytes)
-				}
-				if got := sum2(phs.RecvMsgs); got != want.RecvMessages {
-					t.Errorf("phase %d recv msgs: matrix %d, report %d", phs.Phase, got, want.RecvMessages)
-				}
-				if got := sum2(phs.RecvBytes); got != want.RecvBytes {
-					t.Errorf("phase %d recv bytes: matrix %d, report %d", phs.Phase, got, want.RecvBytes)
-				}
-			}
-			// Phases the snapshot omitted must genuinely have no traffic.
-			for _, ph := range trace.Phases() {
-				if !covered[int(ph)] && rep.Sum[ph].Messages != 0 {
-					t.Errorf("phase %v has %d messages but was omitted from the matrix", ph, rep.Sum[ph].Messages)
-				}
-			}
+			checkMatrixConserves(t, ob.Matrix().Snapshot(nil), rep)
 		})
+	}
+}
+
+// checkMatrixConserves asserts that, per phase, the communication
+// matrix's cells sum to the report's aggregate traffic bitwise, and
+// that every phase the snapshot omits genuinely carried no messages.
+func checkMatrixConserves(t *testing.T, snap obs.MatrixSnapshot, rep *trace.Report) {
+	t.Helper()
+	if len(snap.Phases) == 0 {
+		t.Fatal("matrix recorded no traffic")
+	}
+	sum2 := func(cells [][]int64) int64 {
+		var total int64
+		for _, row := range cells {
+			for _, v := range row {
+				total += v
+			}
+		}
+		return total
+	}
+	covered := map[int]bool{}
+	for _, phs := range snap.Phases {
+		covered[phs.Phase] = true
+		want := rep.Sum[trace.Phase(phs.Phase)]
+		if got := sum2(phs.SentMsgs); got != want.Messages {
+			t.Errorf("phase %d sent msgs: matrix %d, report %d", phs.Phase, got, want.Messages)
+		}
+		if got := sum2(phs.SentBytes); got != want.Bytes {
+			t.Errorf("phase %d sent bytes: matrix %d, report %d", phs.Phase, got, want.Bytes)
+		}
+		if got := sum2(phs.RecvMsgs); got != want.RecvMessages {
+			t.Errorf("phase %d recv msgs: matrix %d, report %d", phs.Phase, got, want.RecvMessages)
+		}
+		if got := sum2(phs.RecvBytes); got != want.RecvBytes {
+			t.Errorf("phase %d recv bytes: matrix %d, report %d", phs.Phase, got, want.RecvBytes)
+		}
+	}
+	for _, ph := range trace.Phases() {
+		if !covered[int(ph)] && rep.Sum[ph].Messages != 0 {
+			t.Errorf("phase %v has %d messages but was omitted from the matrix", ph, rep.Sum[ph].Messages)
+		}
 	}
 }
 

@@ -192,10 +192,12 @@ func TestRecordingChunkedRuns(t *testing.T) {
 	checkSeriesConserves(t, samples, combined)
 }
 
-// TestSeriesServesMidRun scrapes /series.json while a recorded run is in
+// TestSeriesServesMidRun scrapes the live hub while a recorded run is in
 // flight (this test runs under -race via the Makefile's race target, so
-// it is also the recorder's concurrent-reader race check) and verifies
-// the final series the hub serves matches the finished recording.
+// it is also the recorder's and hub's concurrent-reader race check):
+// every mid-run /series.json, /metrics, /trace and /snapshot.json must
+// be well-formed, and once the run ends the served series, S/W gauges
+// and communication matrix must agree with the finished report.
 func TestSeriesServesMidRun(t *testing.T) {
 	const p, c, n, steps = 4, 2, 64, 30
 	ob, rec := newTestRecorder("allpairs", n, p, c)
@@ -219,7 +221,7 @@ func TestSeriesServesMidRun(t *testing.T) {
 		done <- runResult{rep, err}
 	}()
 
-	fetch := func(path string) live.SeriesDoc {
+	get := func(path string) []byte {
 		t.Helper()
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -233,15 +235,47 @@ func TestSeriesServesMidRun(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: %s\n%s", path, resp.Status, body)
 		}
-		var doc live.SeriesDoc
-		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Fatalf("GET %s: %v\n%s", path, err, body)
+		return body
+	}
+	decode := func(path string, v any) {
+		t.Helper()
+		if body := get(path); json.Unmarshal(body, v) != nil {
+			t.Fatalf("GET %s: not valid JSON:\n%s", path, body)
 		}
+	}
+	fetch := func(path string) live.SeriesDoc {
+		t.Helper()
+		var doc live.SeriesDoc
+		decode(path, &doc)
 		return doc
 	}
 
-	// Poll until the run finishes; every mid-run response must be
-	// well-formed and internally consistent.
+	// Every response must be well-formed and internally consistent
+	// while the ranks are still exchanging.
+	scrape := func() {
+		t.Helper()
+		doc := fetch("/series.json?last=8")
+		if int64(len(doc.Samples)) > doc.Total {
+			t.Fatalf("mid-run series: %d samples of %d total", len(doc.Samples), doc.Total)
+		}
+		for i := 1; i < len(doc.Samples); i++ {
+			if doc.Samples[i].Step != doc.Samples[i-1].Step+1 {
+				t.Fatalf("mid-run series steps not consecutive: %d then %d",
+					doc.Samples[i-1].Step, doc.Samples[i].Step)
+			}
+		}
+		if m := get("/metrics"); !bytes.Contains(m, []byte("# TYPE")) {
+			t.Fatalf("/metrics has no exposition lines:\n%s", m)
+		}
+		var chrome struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		decode("/trace", &chrome)
+		var snap map[string]any
+		decode("/snapshot.json", &snap)
+	}
+
+	// Poll until the run finishes, then once more on the final state.
 	var rr runResult
 	polls := 0
 poll:
@@ -250,19 +284,11 @@ poll:
 		case rr = <-done:
 			break poll
 		default:
-			doc := fetch("/series.json?last=8")
-			if int64(len(doc.Samples)) > doc.Total {
-				t.Fatalf("mid-run series: %d samples of %d total", len(doc.Samples), doc.Total)
-			}
-			for i := 1; i < len(doc.Samples); i++ {
-				if doc.Samples[i].Step != doc.Samples[i-1].Step+1 {
-					t.Fatalf("mid-run series steps not consecutive: %d then %d",
-						doc.Samples[i-1].Step, doc.Samples[i].Step)
-				}
-			}
+			scrape()
 			polls++
 		}
 	}
+	scrape()
 	if rr.err != nil {
 		t.Fatal(rr.err)
 	}
@@ -279,6 +305,16 @@ poll:
 		samples[i] = v.Sample()
 	}
 	checkSeriesConserves(t, samples, rr.rep)
+
+	final := get("/metrics")
+	for _, want := range []string{"comm_s_measured", "comm_s_lowerbound", "comm_w_measured", "comm_w_lowerbound"} {
+		if !bytes.Contains(final, []byte(want)) {
+			t.Errorf("final /metrics missing %s", want)
+		}
+	}
+	var mat obs.MatrixSnapshot
+	decode("/matrix.json", &mat)
+	checkMatrixConserves(t, mat, rr.rep)
 
 	// Windowed query: the last 5 samples by range.
 	win := fetch("/series.json?from=25&to=30")

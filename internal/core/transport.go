@@ -7,68 +7,40 @@ import (
 
 // xfer is the per-rank transport the timestep loops run on: the team
 // broadcast, the exchange-buffer shifts, the force reduction, and
-// particle migration, abstracted over the payload representation.
-//
-// Two implementations exist. typedXfer (the default) moves particle and
-// float64 slices through the mailboxes by reference — zero
-// serialization — while charging the exact encoded wire sizes, so the
-// measured S and W communication quantities are unchanged. encodedXfer
-// is the original encode/decode path, kept as the verification fallback;
-// the transport property tests assert the two produce bit-identical
-// final states and identical trace reports.
+// particle migration. Payload slices move through the comm mailboxes by
+// reference under the ownership-transfer contract (see
+// internal/comm/typed.go) — zero serialization in-process — while every
+// message is charged the exact size of the 52-byte particle wire codec
+// the socket mesh ships, so the measured S and W are the wire's. The
+// socket invariance tests (nettransport_test.go) hold an in-process run
+// to the same run over the socket codec bitwise, state and per-phase
+// counts alike.
 //
 // A transport belongs to one rank; construct it inside the rank's
 // closure.
-type xfer interface {
-	// bcastTeam broadcasts the team leader's particles (rank 0 of tc;
-	// others pass nil) and returns the rank's private replica with
-	// force accumulators cleared. The replica is transport-owned
-	// scratch, valid until the next bcastTeam.
-	bcastTeam(tc *comm.Comm, mine []phys.Particle) ([]phys.Particle, error)
-	// loadExchange (re)fills the exchange buffer from the replica the
-	// preceding bcastTeam produced, tagging it with the source-team
-	// frame fixed at construction.
-	loadExchange(team []phys.Particle)
-	// view exposes the particles currently in the exchange buffer and
-	// the team they originate from (-1 on unframed transports). The
-	// slice is read-only: it may alias a buffer that is simultaneously
-	// in flight to a neighbor.
-	view() (srcTeam int, ps []phys.Particle, err error)
-	// shift synchronously exchanges the buffer with the ring neighbors:
-	// ship to rank `to`, adopt the buffer arriving from rank `from`.
-	shift(rc *comm.Comm, to, from, tag int)
-	// shiftOverlap is shift with the transfer hidden behind overlap(),
-	// which computes on the outgoing buffer while it is in flight.
-	shiftOverlap(rc *comm.Comm, to, from, tag int, overlap func() error) error
-	// startShift posts the exchange nonblockingly; finishShift adopts
-	// the received buffer. Between the two the current buffer may only
-	// be read (it is in flight).
-	startShift(rc *comm.Comm, to, from, tag int)
-	finishShift()
-	// reduceForces sum-reduces the replica's force accumulators to the
-	// team leader (rank 0 of tc), returning the flattened totals there
-	// and nil elsewhere. The result is transport-owned scratch.
-	reduceForces(tc *comm.Comm, team []phys.Particle) []float64
-	// sendParticles/recvParticles move migration payloads between team
-	// leaders. Sent slices transfer ownership; received slices are
-	// owned by the caller.
-	sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle)
-	recvParticles(lc *comm.Comm, from, tag int) ([]phys.Particle, error)
+type xfer struct {
+	frame   int
+	overlap bool
+
+	team     []phys.Particle // broadcast replica scratch
+	exchange []phys.Particle // current exchange payload
+	exTeam   int             // source team of the exchange payload
+	spare    []phys.Particle // all-pairs double-buffer (end of step k−2)
+	forces   []float64       // flattened reduction payload
+
+	pendSend, pendRecv *comm.Request
 }
 
 // newXfer builds the transport for one rank. frame is the rank's team
 // id when exchange buffers carry a source-team frame (the cutoff
 // algorithm), -1 for the unframed all-pairs exchange. overlap must
 // match Params.Overlap: it selects the exchange-buffer reuse discipline
-// (see loadExchange in the implementations).
-func newXfer(encoded bool, frame int, overlap bool) xfer {
-	if encoded {
-		return &encodedXfer{frame: frame, overlap: overlap}
-	}
-	return &typedXfer{frame: frame, overlap: overlap}
+// (see loadExchange).
+func newXfer(frame int, overlap bool) *xfer {
+	return &xfer{frame: frame, overlap: overlap}
 }
 
-// Exchange-buffer reuse discipline, shared by both transports.
+// Exchange-buffer reuse discipline.
 //
 // Synchronous shifts pass buffers along a chain of custody: every
 // holder reads the buffer strictly before forwarding it, so the final
@@ -89,32 +61,23 @@ func newXfer(encoded bool, frame int, overlap bool) xfer {
 // cutoff transport loads into a fresh buffer each step instead (one
 // O(n/T) allocation per step, alongside migration's unavoidable ones).
 
-// typedXfer is the zero-copy transport: payload slices move through the
-// comm mailboxes by reference under the ownership-transfer contract
-// (see internal/comm/typed.go), charged at exact wire-format sizes.
-type typedXfer struct {
-	frame   int
-	overlap bool
-
-	team     []phys.Particle // broadcast replica scratch
-	exchange []phys.Particle // current exchange payload
-	exTeam   int             // source team of the exchange payload
-	spare    []phys.Particle // all-pairs double-buffer (end of step k−2)
-	forces   []float64       // flattened reduction payload
-
-	pendSend, pendRecv *comm.Request
-}
-
-func (x *typedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) ([]phys.Particle, error) {
+// bcastTeam broadcasts the team leader's particles (rank 0 of tc;
+// others pass nil) and returns the rank's private replica with force
+// accumulators cleared. The replica is transport-owned scratch, valid
+// until the next bcastTeam.
+func (x *xfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Particle {
 	// The leader's slice is aliased by every team member until each has
 	// taken its copy; the leader writes it again only after the force
 	// reduction, which every member enters after copying.
 	x.team = tc.BcastParticles(0, mine, x.team)
 	phys.ClearForces(x.team)
-	return x.team, nil
+	return x.team
 }
 
-func (x *typedXfer) loadExchange(team []phys.Particle) {
+// loadExchange (re)fills the exchange buffer from the replica the
+// preceding bcastTeam produced, tagging it with the source-team frame
+// fixed at construction.
+func (x *xfer) loadExchange(team []phys.Particle) {
 	x.exTeam = x.frame
 	if x.frame >= 0 && x.overlap {
 		// Cutoff overlap: fresh buffer, see the reuse discipline above.
@@ -132,11 +95,17 @@ func (x *typedXfer) loadExchange(team []phys.Particle) {
 	x.exchange = append(target[:0], team...)
 }
 
-func (x *typedXfer) view() (int, []phys.Particle, error) {
-	return x.exTeam, x.exchange, nil
+// view exposes the particles currently in the exchange buffer and the
+// team they originate from (-1 on the unframed all-pairs exchange).
+// The slice is read-only: it may alias a buffer that is simultaneously
+// in flight to a neighbor.
+func (x *xfer) view() (srcTeam int, ps []phys.Particle) {
+	return x.exTeam, x.exchange
 }
 
-func (x *typedXfer) shift(rc *comm.Comm, to, from, tag int) {
+// shift synchronously exchanges the buffer with the ring neighbors:
+// ship to rank `to`, adopt the buffer arriving from rank `from`.
+func (x *xfer) shift(rc *comm.Comm, to, from, tag int) {
 	if x.frame >= 0 {
 		x.exTeam, x.exchange = rc.SendrecvTeamParticles(to, x.exTeam, x.exchange, from, tag)
 		return
@@ -144,133 +113,35 @@ func (x *typedXfer) shift(rc *comm.Comm, to, from, tag int) {
 	x.exchange = rc.SendrecvParticles(to, x.exchange, from, tag)
 }
 
-func (x *typedXfer) shiftOverlap(rc *comm.Comm, to, from, tag int, overlap func() error) error {
-	var oerr error
-	x.exchange = rc.SendrecvParticlesOverlap(to, x.exchange, from, tag, func() {
-		oerr = overlap()
-	})
-	return oerr
+// shiftOverlap is the unframed shift with the transfer hidden behind
+// overlap(), which computes on the outgoing buffer while it is in
+// flight.
+func (x *xfer) shiftOverlap(rc *comm.Comm, to, from, tag int, overlap func()) {
+	x.exchange = rc.SendrecvParticlesOverlap(to, x.exchange, from, tag, overlap)
 }
 
-func (x *typedXfer) startShift(rc *comm.Comm, to, from, tag int) {
+// startShift posts the framed exchange nonblockingly; finishShift
+// adopts the received buffer. Between the two the current buffer may
+// only be read (it is in flight).
+func (x *xfer) startShift(rc *comm.Comm, to, from, tag int) {
 	x.pendSend = rc.IsendTeamParticles(to, tag, x.exTeam, x.exchange)
 	x.pendRecv = rc.Irecv(from, tag)
 }
 
-func (x *typedXfer) finishShift() {
+func (x *xfer) finishShift() {
 	x.exTeam, x.exchange = x.pendRecv.WaitTeamParticles()
 	x.pendSend.Wait()
 	x.pendSend, x.pendRecv = nil, nil
 }
 
-func (x *typedXfer) reduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
+// reduceForces sum-reduces the replica's force accumulators to the team
+// leader (rank 0 of tc), returning the flattened totals there and nil
+// elsewhere. The result is transport-owned scratch.
+func (x *xfer) reduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
 	// Non-leaders hand the scratch slice to their parent; rewriting it
 	// here next step is ordered behind the parent's read by the next
 	// broadcast (root completes the reduce before broadcasting, and the
 	// flatten below runs after this rank receives that broadcast).
 	x.forces = flattenForcesInto(x.forces[:0], team)
 	return tc.ReduceF64sInPlace(0, x.forces)
-}
-
-func (x *typedXfer) sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle) {
-	lc.SendParticles(to, tag, ps)
-}
-
-func (x *typedXfer) recvParticles(lc *comm.Comm, from, tag int) ([]phys.Particle, error) {
-	return lc.RecvParticles(from, tag), nil
-}
-
-// encodedXfer is the original serialize-and-ship transport, retained as
-// the verification fallback and the benchmark baseline.
-type encodedXfer struct {
-	frame   int
-	overlap bool
-
-	bcastBuf []byte          // leader's encode buffer
-	teamData []byte          // this step's broadcast payload (framed exchange source)
-	team     []phys.Particle // decoded replica
-	visiting []phys.Particle // decode scratch for exchange views
-	exchange []byte          // current exchange payload
-	spare    []byte          // all-pairs double-buffer (end of step k−2)
-	forces   []float64       // flattened reduction payload
-
-	pendSend, pendRecv *comm.Request
-}
-
-func (x *encodedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) ([]phys.Particle, error) {
-	var payload []byte
-	if tc.Rank() == 0 {
-		x.bcastBuf = phys.AppendSlice(x.bcastBuf[:0], mine)
-		payload = x.bcastBuf
-	}
-	x.teamData = tc.Bcast(0, payload)
-	var err error
-	x.team, err = phys.DecodeSliceInto(x.team[:0], x.teamData)
-	if err != nil {
-		return nil, err
-	}
-	phys.ClearForces(x.team)
-	return x.team, nil
-}
-
-func (x *encodedXfer) loadExchange(team []phys.Particle) {
-	if x.frame >= 0 {
-		// The framed exchange reuses the raw broadcast bytes; the force
-		// fields in them are stale, but views never read forces.
-		if x.overlap {
-			x.exchange = appendFrameTeam(make([]byte, 0, 4+len(x.teamData)), x.frame, x.teamData)
-			return
-		}
-		x.exchange = appendFrameTeam(x.exchange[:0], x.frame, x.teamData)
-		return
-	}
-	target := x.spare
-	x.spare = x.exchange
-	x.exchange = phys.AppendSlice(target[:0], team)
-}
-
-func (x *encodedXfer) view() (int, []phys.Particle, error) {
-	src, body := -1, x.exchange
-	if x.frame >= 0 {
-		src, body = unframeTeam(x.exchange)
-	}
-	var err error
-	x.visiting, err = phys.DecodeSliceInto(x.visiting[:0], body)
-	return src, x.visiting, err
-}
-
-func (x *encodedXfer) shift(rc *comm.Comm, to, from, tag int) {
-	x.exchange = rc.Sendrecv(to, x.exchange, from, tag)
-}
-
-func (x *encodedXfer) shiftOverlap(rc *comm.Comm, to, from, tag int, overlap func() error) error {
-	var oerr error
-	x.exchange = rc.SendrecvOverlap(to, x.exchange, from, tag, func() {
-		oerr = overlap()
-	})
-	return oerr
-}
-
-func (x *encodedXfer) startShift(rc *comm.Comm, to, from, tag int) {
-	x.pendSend = rc.Isend(to, tag, x.exchange)
-	x.pendRecv = rc.Irecv(from, tag)
-}
-
-func (x *encodedXfer) finishShift() {
-	x.exchange = x.pendRecv.Wait()
-	x.pendSend.Wait()
-	x.pendSend, x.pendRecv = nil, nil
-}
-
-func (x *encodedXfer) reduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
-	x.forces = flattenForcesInto(x.forces[:0], team)
-	return tc.ReduceF64s(0, x.forces)
-}
-
-func (x *encodedXfer) sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle) {
-	lc.Send(to, tag, phys.EncodeSlice(ps))
-}
-
-func (x *encodedXfer) recvParticles(lc *comm.Comm, from, tag int) ([]phys.Particle, error) {
-	return phys.DecodeSlice(lc.Recv(from, tag))
 }

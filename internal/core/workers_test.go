@@ -27,66 +27,63 @@ func sameCommCounts(a, b *trace.Report) bool {
 }
 
 // TestWorkerCountInvariance is the pool's headline property test: for
-// every algorithm, on both transports, any worker count must reproduce
-// the workers=1 run bit for bit — final states identical, per-phase
-// message/byte counts unchanged. The disjoint-target tiling guarantees
-// it by construction; this pins the construction.
+// every algorithm, any worker count must reproduce the workers=1 run
+// bit for bit — final states identical, per-phase message/byte counts
+// unchanged. The disjoint-target tiling guarantees it by construction;
+// this pins the construction.
 func TestWorkerCountInvariance(t *testing.T) {
 	algos := []struct {
 		name string
-		run  func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error)
+		run  func(workers int) ([]phys.Particle, *trace.Report, error)
 	}{
-		{"allpairs", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
+		{"allpairs", func(workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := defaultParams(4, 2, 3)
-			pr.Encoded, pr.Workers = encoded, workers
+			pr.Workers = workers
 			return AllPairs(phys.InitUniform(32, pr.Box, 51), pr)
 		}},
-		{"allpairs_overlap", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
+		{"allpairs_overlap", func(workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := defaultParams(16, 2, 3)
-			pr.Encoded, pr.Workers, pr.Overlap = encoded, workers, true
+			pr.Workers, pr.Overlap = workers, true
 			return AllPairs(phys.InitUniform(32, pr.Box, 51), pr)
 		}},
-		{"cutoff", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
+		{"cutoff", func(workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(8, 2, 1, phys.Periodic)
-			pr.Encoded, pr.Workers = encoded, workers
+			pr.Workers = workers
 			return Cutoff(phys.InitLattice(64, pr.Box, 51), pr)
 		}},
-		{"cutoff_overlap", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
+		{"cutoff_overlap", func(workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(18, 2, 2, phys.Reflective)
-			pr.Encoded, pr.Workers, pr.Overlap = encoded, workers, true
+			pr.Workers, pr.Overlap = workers, true
 			return Cutoff(phys.InitLattice(64, pr.Box, 51), pr)
 		}},
-		{"midpoint", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
+		{"midpoint", func(workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(8, 1, 1, phys.Reflective)
-			pr.Encoded, pr.Workers = encoded, workers
+			pr.Workers = workers
 			return Midpoint1D(phys.InitLattice(64, pr.Box, 51), pr)
 		}},
 	}
 	for _, alg := range algos {
-		for _, encoded := range []bool{false, true} {
-			want, wantRep, err := alg.run(encoded, 1)
+		want, wantRep, err := alg.run(1)
+		if err != nil {
+			t.Fatalf("%s workers=1: %v", alg.name, err)
+		}
+		for _, w := range []int{2, 4} {
+			got, gotRep, err := alg.run(w)
 			if err != nil {
-				t.Fatalf("%s encoded=%v workers=1: %v", alg.name, encoded, err)
+				t.Fatalf("%s workers=%d: %v", alg.name, w, err)
 			}
-			for _, w := range []int{2, 4} {
-				got, gotRep, err := alg.run(encoded, w)
-				if err != nil {
-					t.Fatalf("%s encoded=%v workers=%d: %v", alg.name, encoded, w, err)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s workers=%d: particle %d = %+v, want %+v",
+						alg.name, w, i, got[i], want[i])
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s encoded=%v workers=%d: particle %d = %+v, want %+v",
-							alg.name, encoded, w, i, got[i], want[i])
-					}
-				}
-				if !sameCommCounts(wantRep, gotRep) {
-					t.Errorf("%s encoded=%v workers=%d changed per-phase message/byte counts",
-						alg.name, encoded, w)
-				}
-				if gotRep.S() != wantRep.S() || gotRep.W() != wantRep.W() {
-					t.Errorf("%s encoded=%v workers=%d: S/W %d/%d, want %d/%d",
-						alg.name, encoded, w, gotRep.S(), gotRep.W(), wantRep.S(), wantRep.W())
-				}
+			}
+			if !sameCommCounts(wantRep, gotRep) {
+				t.Errorf("%s workers=%d changed per-phase message/byte counts", alg.name, w)
+			}
+			if gotRep.S() != wantRep.S() || gotRep.W() != wantRep.W() {
+				t.Errorf("%s workers=%d: S/W %d/%d, want %d/%d",
+					alg.name, w, gotRep.S(), gotRep.W(), wantRep.S(), wantRep.W())
 			}
 		}
 	}

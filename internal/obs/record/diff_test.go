@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -32,7 +33,7 @@ func mkSamples(n int, wallNs int64) []Sample {
 func TestFromRecording(t *testing.T) {
 	meta := Meta{Algorithm: "allpairs", N: 64, P: 4, C: 2, Phases: []string{"compute", "broadcast"}}
 	doc := FromRecording(meta, mkSamples(10, 2000))
-	if doc.Kind != "recording" || doc.Key != meta.Key() {
+	if doc.Key != meta.Key() {
 		t.Fatalf("doc header: %+v", doc)
 	}
 	checks := map[string]float64{
@@ -71,27 +72,42 @@ func TestFromRecording(t *testing.T) {
 }
 
 func TestDirectionOf(t *testing.T) {
+	// Every metric a recording folds to, and the direction it gates in.
+	doc := FromRecording(Meta{Phases: []string{"compute"}}, mkSamples(2, 1000))
+	doc.Metrics["step.wall_ns.aligned_p50"] = 0 // the row Diff adds
 	cases := map[string]Direction{
-		"step.wall_ns.p50":                   WorseUp,
-		"kernel.lj_cut/kernel.ns_per_op":     WorseUp,
-		"kernel.lj_cut/kernel.allocs_per_op": WorseUp,
-		"phase.compute.sent_bytes_per_step":  WorseUp,
-		"phase.shift.recv_msgs_per_step":     WorseUp,
-		"timeline.dropped":                   WorseUp,
-		"goroutines.max":                     WorseUp,
-		"comm.s.measured":                    WorseUp,
-		"comm.w.over_bound":                  WorseUp,
-		"speedup.lj_cut":                     WorseDown,
-		"transport.allpairs.speedup":         WorseDown,
-		"recorder.overhead_frac":             Neutral,
-		"steps":                              Neutral,
+		"steps":                             Neutral,
+		"step.wall_ns.mean":                 WorseUp,
+		"step.wall_ns.p50":                  WorseUp,
+		"step.wall_ns.max":                  WorseUp,
+		"step.wall_ns.aligned_p50":          WorseUp,
+		"phase.compute.ns_per_step":         WorseUp,
+		"phase.compute.sent_msgs_per_step":  WorseUp,
+		"phase.compute.sent_bytes_per_step": WorseUp,
+		"phase.compute.recv_msgs_per_step":  WorseUp,
+		"phase.compute.recv_bytes_per_step": WorseUp,
+		"comm.s.measured":                   WorseUp,
+		"comm.w.measured_bytes":             WorseUp,
+		"comm.s.over_bound":                 WorseUp,
+		"comm.w.over_bound":                 WorseUp,
+		"timeline.dropped":                  WorseUp,
+		"heap.max_bytes":                    WorseUp,
+		"goroutines.max":                    WorseUp,
 	}
-	for name, want := range cases {
+	if len(doc.Metrics) != len(cases) {
+		t.Errorf("recording folds to %d metrics, table covers %d", len(doc.Metrics), len(cases))
+	}
+	for name := range doc.Metrics {
+		want, ok := cases[name]
+		if !ok {
+			t.Errorf("metric %s has no expected direction", name)
+			continue
+		}
 		if got := DirectionOf(name); got != want {
 			t.Errorf("DirectionOf(%s) = %v, want %v", name, got, want)
 		}
 	}
-	if Neutral.String() != "neutral" || WorseUp.String() != "worse-if-up" || WorseDown.String() != "worse-if-down" {
+	if Neutral.String() != "neutral" || WorseUp.String() != "worse-if-up" {
 		t.Error("Direction strings changed")
 	}
 }
@@ -137,16 +153,16 @@ func TestDiffDetectsRegression(t *testing.T) {
 	}
 }
 
-func TestDiffWorseDownAndOverrides(t *testing.T) {
+func TestDiffOverridesAndZeroBaseline(t *testing.T) {
 	oldDoc := MetricDoc{Metrics: map[string]float64{
-		"speedup.lj_cut":   2.0,
 		"step.wall_ns.p50": 1000,
+		"step.wall_ns.max": 1000,
 		"zero.before_ns":   0,
 	}}
 	newDoc := MetricDoc{Metrics: map[string]float64{
-		"speedup.lj_cut":   1.0, // halved: breaches worse-if-down at 1.5
 		"step.wall_ns.p50": 1200,
-		"zero.before_ns":   5, // 0 → nonzero: ratio +Inf, breaches
+		"step.wall_ns.max": 1200, // within the default 1.5
+		"zero.before_ns":   5,    // 0 → nonzero: ratio +Inf, breaches
 	}}
 	rows := Diff(oldDoc, newDoc, DiffOptions{
 		Threshold: 1.5,
@@ -156,8 +172,8 @@ func TestDiffWorseDownAndOverrides(t *testing.T) {
 	for _, r := range rows {
 		got[r.Name] = r
 	}
-	if !got["speedup.lj_cut"].Breach {
-		t.Error("halved speedup did not breach")
+	if r := got["step.wall_ns.max"]; r.Breach || r.Threshold != 1.5 {
+		t.Errorf("default threshold not applied: %+v", r)
 	}
 	if r := got["step.wall_ns.p50"]; !r.Breach || r.Threshold != 1.1 {
 		t.Errorf("per-metric override not applied: %+v", r)
@@ -197,43 +213,6 @@ func TestDiffExactGate(t *testing.T) {
 	}
 }
 
-func TestFoldBenchJSON(t *testing.T) {
-	data := []byte(`{
-		"kind": "canbody-bench",
-		"kernels": [{"name": "lj_cut/kernel", "ns_per_op": 123.5, "allocs_per_op": 0}],
-		"speedups": {"lj_cut": 1.4},
-		"timesteps": [{"algorithm": "allpairs", "particles": 512, "ranks": 8, "replication": 2, "wall_ns_per_step": 9e5}],
-		"transport": [{"algorithm": "allpairs", "typed_ns_per_step": 100, "encoded_ns_per_step": 150, "speedup": 1.5}],
-		"worker_kernels": [{"name": "pool_accumulate", "workers": 2, "ns_per_op": 50}],
-		"worker_scaling": [{"algorithm": "allpairs", "ranks": 4, "workers": 2, "wall_ns_per_step": 77}],
-		"metrics": {"recorder.overhead_frac": 0.004, "speedup.lj_cut": 9.9}
-	}`)
-	m, err := FoldBenchJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checks := map[string]float64{
-		"kernel.lj_cut/kernel.ns_per_op":                123.5,
-		"kernel.lj_cut/kernel.allocs_per_op":            0,
-		"timestep.allpairs.n512.p8.c2.wall_ns_per_step": 9e5,
-		"transport.allpairs.typed_ns_per_step":          100,
-		"transport.allpairs.speedup":                    1.5,
-		"pool.pool_accumulate.w2.ns_per_op":             50,
-		"workers.allpairs.p4.w2.wall_ns_per_step":       77,
-		"recorder.overhead_frac":                        0.004,
-		// The explicit metrics map wins over the folded sections.
-		"speedup.lj_cut": 9.9,
-	}
-	for name, want := range checks {
-		if got, ok := m[name]; !ok || got != want {
-			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
-		}
-	}
-	if _, err := FoldBenchJSON([]byte("not json")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-}
-
 func TestLoadMetricDocSniffing(t *testing.T) {
 	dir := t.TempDir()
 
@@ -261,21 +240,18 @@ func TestLoadMetricDocSniffing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Kind != "recording" || doc.Metrics["steps"] != 2 {
+	if doc.Path != recPath || doc.Metrics["steps"] != 2 {
 		t.Errorf("recording doc: %+v", doc)
 	}
 
-	// A bench report.
-	benchPath := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(benchPath, []byte(`{"kind":"canbody-bench","speedups":{"x":2}}`), 0o644); err != nil {
+	// Anything else — here a single-object JSON report — is rejected
+	// with an error naming the file.
+	otherPath := filepath.Join(dir, "report.json")
+	if err := os.WriteFile(otherPath, []byte(`{"kind":"canbody-bench","metrics":{"x":2}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	doc, err = LoadMetricDoc(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Kind != "bench" || doc.Metrics["speedup.x"] != 2 {
-		t.Errorf("bench doc: %+v", doc)
+	if _, err := LoadMetricDoc(otherPath); err == nil || !strings.Contains(err.Error(), otherPath) {
+		t.Errorf("non-recording file: err = %v, want an error naming %s", err, otherPath)
 	}
 
 	if _, err := LoadMetricDoc(filepath.Join(dir, "missing.json")); err == nil {

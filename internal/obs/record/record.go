@@ -43,8 +43,7 @@ const MaxPhases = 16
 // 4096 covers any laptop-scale run and bounds memory at a few MiB.
 const DefaultCapacity = 4096
 
-// DocKind identifies a recording header line (and the recording's
-// MetricDoc kind).
+// DocKind identifies a recording header line.
 const DocKind = "canbody-recording"
 
 // Sample is one timestep's flight-recorder reading. Comm counts and

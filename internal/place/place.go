@@ -8,9 +8,9 @@
 //
 // — the quadratic-assignment objective of topology-aware MPI rank
 // mapping (the DCMF/topology-aware-collectives line the paper builds
-// on). Three searchers share one Evaluator: a greedy constructor
-// (heaviest edge first onto nearest free slots), a swap-sequence
-// particle-swarm optimizer, and a simulated-annealing refiner. Every
+// on). Two searchers share one Evaluator: a greedy constructor
+// (heaviest edge first onto nearest free slots) and a
+// simulated-annealing refiner seeded from it. Every
 // candidate is validated by replaying the matrix through the
 // internal/netsim contention model, so callers can compare the
 // hop-cost objective with a predicted makespan that includes link

@@ -121,8 +121,8 @@ type PlacementTuneResult struct {
 // way AutotuneC closes the replication-factor one: given a measured
 // (or saved) src×dst traffic byte matrix and a machine model, it sizes
 // the machine's near-cubic torus partition for the matrix's rank
-// count, runs the placement searchers (greedy construction,
-// swap-sequence PSO, simulated annealing) against the hop-weighted
+// count, runs the placement searchers (greedy construction and
+// simulated annealing seeded from it) against the hop-weighted
 // objective, validates every candidate by replaying the matrix
 // through the netsim contention model, and returns the winning
 // placement together with all trial results (identity first). The
